@@ -59,32 +59,18 @@ void MobilityApp::register_handlers() {
         if (delegation == nullptr) return;
         auto served = serve_bearer(*delegation);
         if (served.ok()) {
-          AppMessage reply;
-          reply.type = kBearerRequestMsg;
-          reply.body = *served;
-          controller_->send_app_response(child, msg.request_id, std::move(reply));
-          return;
-        }
-        if (controller_->reca().has_parent()) {
+          answer_child(child, msg, *served);
+        } else if (controller_->reca().has_parent()) {
           // Not satisfiable here: climb further (§5.1), re-addressing the
           // source G-BS into our parent's ID space.
           if (controller_->abstraction().dirty()) controller_->refresh_abstraction();
           BearerDelegation remapped = *delegation;
           remapped.source_gbs = controller_->abstraction().exposed_gbs_id(remapped.source_gbs);
-          AppMessage up;
-          up.type = kBearerRequestMsg;
-          up.body = remapped;
-          controller_->reca().delegate(
-              std::move(up), [this, child, rid = msg.request_id](const AppMessage& resp) {
-                AppMessage reply = resp;
-                controller_->send_app_response(child, rid, std::move(reply));
-              });
-          return;
+          relay_up(child, msg, remapped);
+        } else {
+          answer_child(child, msg,
+                       BearerOutcome{false, controller_->level(), 0, served.error().message});
         }
-        AppMessage reply;
-        reply.type = kBearerRequestMsg;
-        reply.body = BearerOutcome{false, controller_->level(), 0, served.error().message};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
       });
 
   controller_->register_child_app_handler(
@@ -94,30 +80,16 @@ void MobilityApp::register_handlers() {
         ++stats_.handover_requests;
         auto served = serve_handover(*delegation);
         if (served.ok()) {
-          AppMessage reply;
-          reply.type = kHandoverRequestMsg;
-          reply.body = *served;
-          controller_->send_app_response(child, msg.request_id, std::move(reply));
-          return;
-        }
-        if (served.code() == ErrorCode::kNotFound && controller_->reca().has_parent()) {
+          answer_child(child, msg, *served);
+        } else if (served.code() == ErrorCode::kNotFound && controller_->reca().has_parent()) {
           // Not the common ancestor: forward up (§5.2).
           ++stats_.handovers_delegated;
-          AppMessage up;
-          up.type = kHandoverRequestMsg;
-          up.body = *delegation;
-          controller_->reca().delegate(
-              std::move(up), [this, child, rid = msg.request_id](const AppMessage& resp) {
-                AppMessage reply = resp;
-                controller_->send_app_response(child, rid, std::move(reply));
-              });
-          return;
+          relay_up(child, msg, msg.body);
+        } else {
+          ++stats_.handover_failures;
+          answer_child(child, msg,
+                       HandoverOutcome{false, controller_->level(), served.error().message});
         }
-        ++stats_.handover_failures;
-        AppMessage reply;
-        reply.type = kHandoverRequestMsg;
-        reply.body = HandoverOutcome{false, controller_->level(), served.error().message};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
       });
 
   controller_->register_child_app_handler(
@@ -125,35 +97,18 @@ void MobilityApp::register_handlers() {
         const auto* req = std::any_cast<BearerDeactivate>(&msg.body);
         if (req == nullptr) return;
         if (deactivate_ancestor_key(req->ancestor_key)) {
-          AppMessage reply;
-          reply.type = kBearerDeactivateMsg;
-          reply.body = BearerOutcome{true, controller_->level(), 0, {}};
-          controller_->send_app_response(child, msg.request_id, std::move(reply));
-          return;
+          answer_child(child, msg, BearerOutcome{true, controller_->level(), 0, {}});
+        } else if (controller_->reca().has_parent()) {
+          relay_up(child, msg, msg.body);
+        } else {
+          answer_child(child, msg,
+                       BearerOutcome{false, controller_->level(), 0, "unknown path key"});
         }
-        if (controller_->reca().has_parent()) {
-          AppMessage up;
-          up.type = kBearerDeactivateMsg;
-          up.body = *req;
-          controller_->reca().delegate(
-              std::move(up), [this, child, rid = msg.request_id](const AppMessage& resp) {
-                AppMessage reply = resp;
-                controller_->send_app_response(child, rid, std::move(reply));
-              });
-          return;
-        }
-        AppMessage reply;
-        reply.type = kBearerDeactivateMsg;
-        reply.body = BearerOutcome{false, controller_->level(), 0, "unknown path key"};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
       });
 
   controller_->register_child_app_handler(
       kFetchHandoverGraphMsg, [this](SwitchId child, const AppMessage& msg) {
-        AppMessage reply;
-        reply.type = kFetchHandoverGraphMsg;
-        reply.body = HandoverGraphBody{map_to_exposed(collect_handover_graph())};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
+        answer_child(child, msg, HandoverGraphBody{map_to_exposed(collect_handover_graph())});
       });
 
   // --- requests arriving from the parent (travelling down) -------------------
@@ -162,14 +117,7 @@ void MobilityApp::register_handlers() {
         const auto* alloc = std::any_cast<HoAllocate>(&msg.body);
         if (alloc == nullptr) return;
         if (!controller_->is_leaf()) {
-          AppMessage down;
-          down.type = kHoAllocateMsg;
-          down.body = *alloc;
-          (void)send_toward_gbs(alloc->target_gbs, std::move(down),
-                                [this, rid = msg.request_id](const AppMessage& resp) {
-                                  AppMessage reply = resp;
-                                  controller_->reca().respond_up(rid, std::move(reply));
-                                });
+          relay_toward_gbs(alloc->target_gbs, msg);
           return;
         }
         // Leaf: take over the UE with its (ancestor-implemented) bearers.
@@ -189,10 +137,7 @@ void MobilityApp::register_handlers() {
           rec.bearers.emplace(b.id, std::move(b));
         }
         ues_[alloc->ue] = std::move(rec);
-        AppMessage reply;
-        reply.type = kHoAllocateMsg;
-        reply.body = HandoverOutcome{true, controller_->level(), {}};
-        controller_->reca().respond_up(msg.request_id, std::move(reply));
+        answer_parent(msg, HandoverOutcome{true, controller_->level(), {}});
       });
 
   controller_->reca().register_app_handler(
@@ -200,37 +145,58 @@ void MobilityApp::register_handlers() {
         const auto* release = std::any_cast<HoRelease>(&msg.body);
         if (release == nullptr) return;
         if (!controller_->is_leaf()) {
-          AppMessage down;
-          down.type = kHoReleaseMsg;
-          down.body = *release;
-          (void)send_toward_gbs(release->source_gbs, std::move(down),
-                                [this, rid = msg.request_id](const AppMessage& resp) {
-                                  AppMessage reply = resp;
-                                  controller_->reca().respond_up(rid, std::move(reply));
-                                });
+          relay_toward_gbs(release->source_gbs, msg);
           return;
         }
         auto it = ues_.find(release->ue);
         if (it != ues_.end()) {
-          for (auto& [bid, bearer] : it->second.bearers) {
-            if (bearer.handled_locally && bearer.active)
-              (void)controller_->deactivate_path(bearer.local_path);
-          }
+          for (auto& [bid, bearer] : it->second.bearers)
+            release_bearer(release->ue, bearer, Release::kMoveAway);
           ues_.erase(it);
         }
-        AppMessage reply;
-        reply.type = kHoReleaseMsg;
-        reply.body = HandoverOutcome{true, controller_->level(), {}};
-        controller_->reca().respond_up(msg.request_id, std::move(reply));
+        answer_parent(msg, HandoverOutcome{true, controller_->level(), {}});
       });
 
   controller_->reca().register_app_handler(
       kFetchHandoverGraphMsg, [this](const AppMessage& msg) {
-        AppMessage reply;
-        reply.type = kFetchHandoverGraphMsg;
-        reply.body = HandoverGraphBody{map_to_exposed(collect_handover_graph())};
-        controller_->reca().respond_up(msg.request_id, std::move(reply));
+        answer_parent(msg, HandoverGraphBody{map_to_exposed(collect_handover_graph())});
       });
+}
+
+void MobilityApp::answer_child(SwitchId child, const AppMessage& request, std::any body) {
+  AppMessage reply;
+  reply.type = request.type;
+  reply.body = std::move(body);
+  controller_->send_app_response(child, request.request_id, std::move(reply));
+}
+
+void MobilityApp::answer_parent(const AppMessage& request, std::any body) {
+  AppMessage reply;
+  reply.type = request.type;
+  reply.body = std::move(body);
+  controller_->reca().respond_up(request.request_id, std::move(reply));
+}
+
+void MobilityApp::relay_up(SwitchId child, const AppMessage& request, std::any body) {
+  AppMessage up;
+  up.type = request.type;
+  up.body = std::move(body);
+  controller_->reca().delegate(
+      std::move(up), [this, child, rid = request.request_id](const AppMessage& resp) {
+        AppMessage reply = resp;
+        controller_->send_app_response(child, rid, std::move(reply));
+      });
+}
+
+void MobilityApp::relay_toward_gbs(GBsId gbs, const AppMessage& request) {
+  AppMessage down;
+  down.type = request.type;
+  down.body = request.body;
+  (void)send_toward_gbs(gbs, std::move(down),
+                        [this, rid = request.request_id](const AppMessage& resp) {
+                          AppMessage reply = resp;
+                          controller_->reca().respond_up(rid, std::move(reply));
+                        });
 }
 
 void MobilityApp::enable_reactive_bearers() {
@@ -286,17 +252,7 @@ Result<void> MobilityApp::ue_attach(UeId ue, BsId bs) {
 Result<void> MobilityApp::ue_detach(UeId ue) {
   auto it = ues_.find(ue);
   if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
-  for (auto& [bid, bearer] : it->second.bearers) {
-    if (!bearer.active) continue;
-    if (bearer.handled_locally) {
-      (void)controller_->deactivate_path(bearer.local_path);
-    } else if (bearer.ancestor_key != 0) {
-      AppMessage up;
-      up.type = kBearerDeactivateMsg;
-      up.body = BearerDeactivate{ue, bearer.ancestor_key};
-      controller_->reca().delegate(std::move(up), nullptr);
-    }
-  }
+  for (auto& [bid, bearer] : it->second.bearers) release_bearer(ue, bearer, Release::kTeardown);
   ues_.erase(it);
   return Ok();
 }
@@ -305,50 +261,74 @@ Result<void> MobilityApp::ue_idle(UeId ue) {
   auto it = ues_.find(ue);
   if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
   it->second.idle = true;
-  for (auto& [bid, bearer] : it->second.bearers) {
-    if (!bearer.active) continue;
-    bearer.active = false;
-    if (bearer.handled_locally) {
-      (void)controller_->deactivate_path(bearer.local_path);
-    } else if (bearer.ancestor_key != 0) {
-      // §5.1: "If the UE bearer has been handled by the parent controller,
-      // the mobility application continues to request bearer deactivation
-      // from its parent via RecA."
-      AppMessage up;
-      up.type = kBearerDeactivateMsg;
-      up.body = BearerDeactivate{ue, bearer.ancestor_key};
-      controller_->reca().delegate(std::move(up), nullptr);
-      bearer.ancestor_key = 0;
-    }
-  }
+  for (auto& [bid, bearer] : it->second.bearers) release_bearer(ue, bearer, Release::kIdle);
   return Ok();
 }
 
 Result<void> MobilityApp::ue_active(UeId ue) {
   auto it = ues_.find(ue);
   if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
-  it->second.idle = false;
-  for (auto& [bid, bearer] : it->second.bearers) {
-    if (bearer.active) continue;
+  UeRecord& rec = it->second;
+  rec.idle = false;
+  // Collect, then act (DESIGN §12): a re-request inserts into rec.bearers.
+  std::vector<BearerId> down;
+  for (const auto& [bid, bearer] : rec.bearers)
+    if (!bearer.active) down.push_back(bid);
+  for (BearerId bid : down) {
+    BearerRecord& bearer = rec.bearers.at(bid);
     if (bearer.handled_locally) {
       if (controller_->paths().reactivate(bearer.local_path).ok()) bearer.active = true;
     } else {
-      // Re-request through the hierarchy; the previous path was deactivated.
-      auto replaced = request_bearer(bearer.request);
-      if (replaced.ok()) bearer.active = false;  // superseded by the new record
+      // Re-request through the hierarchy: idling released the ancestor's
+      // path, and the new record supersedes this one (request_bearer()
+      // copies the request before it inserts).
+      resetup_bearer(bearer.request, LogLevel::kDebug, "reactivation");
     }
   }
-  it->second.bearers.erase_if(
+  rec.bearers.erase_if(
       [](const auto& kv) { return !kv.second.active && !kv.second.handled_locally; });
   return Ok();
 }
 
-Result<BearerId> MobilityApp::setup_local_bearer(UeRecord& rec, const BearerRequest& request) {
-  const dataplane::BsGroup* group = net_->bs_group(rec.group);
-  if (group == nullptr) return Error{ErrorCode::kNotFound, "UE group unknown"};
+void MobilityApp::release_bearer(UeId ue, BearerRecord& bearer, Release how) {
+  if (!bearer.active) return;
+  bearer.active = false;
+  if (bearer.handled_locally) {
+    if (how == Release::kIdle) {
+      (void)controller_->deactivate_path(bearer.local_path);
+    } else {
+      (void)controller_->teardown_path(bearer.local_path);
+      bearer.local_path = PathId{};
+    }
+  } else if (bearer.ancestor_key != 0 && how != Release::kMoveAway) {
+    // §5.1: "If the UE bearer has been handled by the parent controller,
+    // the mobility application continues to request bearer deactivation
+    // from its parent via RecA."
+    release_ancestor_key(ue, bearer.ancestor_key);
+    bearer.ancestor_key = 0;
+  }
+}
 
+void MobilityApp::release_ancestor_key(UeId ue, std::uint64_t key) {
+  if (deactivate_ancestor_key(key)) return;
+  AppMessage up;
+  up.type = kBearerDeactivateMsg;
+  up.body = BearerDeactivate{ue, key};
+  controller_->reca().delegate(std::move(up), nullptr);
+}
+
+void MobilityApp::resetup_bearer(const BearerRequest& request, LogLevel level,
+                                 const char* after) {
+  auto replaced = request_bearer(request);
+  if (!replaced.ok()) {
+    SOFTMOW_LOG(level, "mobility") << controller_->name() << " bearer re-setup after " << after
+                                   << " failed: " << replaced.error().message;
+  }
+}
+
+Result<PathId> MobilityApp::install_bearer_path(Endpoint source, const BearerRequest& request) {
   nos::RoutingRequest routing;
-  routing.source = Endpoint{group->access_switch, PortId{1}};
+  routing.source = source;
   routing.dst_prefix = request.dst_prefix;
   routing.constraints = request.qos;
   routing.policy = request.policy;
@@ -365,26 +345,17 @@ Result<BearerId> MobilityApp::setup_local_bearer(UeRecord& rec, const BearerRequ
   // Sliced bearer under tag encapsulation: classify onto the shared
   // (slice, clause, ingress, egress) policy tag so same-aggregate bearers
   // share transit rules (SoftCell compression) instead of a per-path label.
-  if (controller_->tag_allocator() != nullptr && request.slice.valid() &&
-      !route->hops.empty()) {
+  // A delegated bearer carries its originating slice, so an ancestor
+  // aggregates onto shared G-switch rules and its children translate one
+  // aggregate, not N paths.
+  if (controller_->tag_allocator() != nullptr && request.slice.valid() && !route->hops.empty()) {
     Endpoint egress{route->hops.back().sw, route->hops.back().out};
     options.shared_tag =
-        Label{controller_->tag_allocator()->tag_for(request.slice, request.policy_clause,
-                                                    routing.source, egress),
+        Label{controller_->tag_allocator()->tag_for(request.slice, request.policy_clause, source,
+                                                    egress),
               static_cast<std::uint8_t>(controller_->level())};
   }
-  auto path = controller_->path_setup(*route, classifier, options);
-  if (!path.ok()) return path.error();
-
-  BearerRecord bearer;
-  bearer.id = BearerId{next_bearer_++};
-  bearer.request = request;
-  bearer.handled_locally = true;
-  bearer.local_path = *path;
-  bearer.handled_level = controller_->level();
-  BearerId id = bearer.id;
-  rec.bearers.emplace(id, std::move(bearer));
-  return id;
+  return controller_->path_setup(*route, classifier, options);
 }
 
 Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
@@ -396,53 +367,56 @@ Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
   SpanGuard span("bearer.setup", controller_->level(), controller_->name());
   span.detail("failed");
 
-  auto local = setup_local_bearer(rec, request);
+  BearerRecord bearer;
+  bearer.request = request;
+  const dataplane::BsGroup* group = net_->bs_group(rec.group);
+  Result<PathId> local =
+      group != nullptr ? install_bearer_path(Endpoint{group->access_switch, PortId{1}}, request)
+                       : Result<PathId>(ErrorCode::kNotFound, "UE group unknown");
   if (local.ok()) {
     ++stats_.bearers_local;
     span.detail("local");
-    return local;
+    bearer.local_path = *local;
+    bearer.handled_level = controller_->level();
+  } else {
+    if (local.code() != ErrorCode::kNotFound && local.code() != ErrorCode::kUnsatisfiable)
+      return local.error();
+    if (!controller_->reca().has_parent()) {
+      ++stats_.bearers_failed;
+      return local.error();
+    }
+    // §5.1: delegate the request to RecA, which forwards it to the parent.
+    // The source G-BS is named in the *parent's* ID space: border groups
+    // keep their identity, internal ones collapse onto the aggregate G-BS.
+    // A dirty abstraction is re-announced first so the parent decides on
+    // fresh state (e.g. current G-middlebox utilization).
+    ++stats_.bearers_delegated;
+    if (controller_->abstraction().dirty()) controller_->refresh_abstraction();
+    AppMessage up;
+    up.type = kBearerRequestMsg;
+    up.body = BearerDelegation{
+        request, controller_->abstraction().exposed_gbs_id(gbs_of_group(rec.group))};
+    BearerOutcome outcome;
+    bool responded = false;
+    controller_->reca().delegate(std::move(up), [&](const AppMessage& resp) {
+      if (const auto* body = std::any_cast<BearerOutcome>(&resp.body)) outcome = *body;
+      responded = true;
+    });
+    // Channels deliver synchronously in-process, so the response has arrived.
+    if (!responded || !outcome.ok) {
+      ++stats_.bearers_failed;
+      return Error{ErrorCode::kUnsatisfiable,
+                   outcome.error.empty() ? "no ancestor could satisfy the bearer"
+                                         : outcome.error};
+    }
+    bearer.handled_locally = false;
+    bearer.handled_level = outcome.handled_level;
+    bearer.ancestor_key = outcome.ancestor_key;
+    span.detail("delegated L" + std::to_string(outcome.handled_level));
   }
-  if (local.code() != ErrorCode::kNotFound && local.code() != ErrorCode::kUnsatisfiable)
-    return local;
-
-  if (!controller_->reca().has_parent()) {
-    ++stats_.bearers_failed;
-    return local;
-  }
-
-  // §5.1: delegate the request to RecA, which forwards it to the parent.
-  // The source G-BS is named in the *parent's* ID space: border groups keep
-  // their identity, internal ones collapse onto the aggregate G-BS. A dirty
-  // abstraction is re-announced first so the parent decides on fresh state
-  // (e.g. current G-middlebox utilization).
-  ++stats_.bearers_delegated;
-  if (controller_->abstraction().dirty()) controller_->refresh_abstraction();
-  AppMessage up;
-  up.type = kBearerRequestMsg;
-  up.body = BearerDelegation{
-      request, controller_->abstraction().exposed_gbs_id(gbs_of_group(rec.group))};
-  BearerOutcome outcome;
-  bool responded = false;
-  controller_->reca().delegate(std::move(up), [&](const AppMessage& resp) {
-    if (const auto* body = std::any_cast<BearerOutcome>(&resp.body)) outcome = *body;
-    responded = true;
-  });
-  // Channels deliver synchronously in-process, so the response has arrived.
-  if (!responded || !outcome.ok) {
-    ++stats_.bearers_failed;
-    return Error{ErrorCode::kUnsatisfiable,
-                 outcome.error.empty() ? "no ancestor could satisfy the bearer"
-                                       : outcome.error};
-  }
-  BearerRecord bearer;
   bearer.id = BearerId{next_bearer_++};
-  bearer.request = request;
-  bearer.handled_locally = false;
-  bearer.handled_level = outcome.handled_level;
-  bearer.ancestor_key = outcome.ancestor_key;
   BearerId id = bearer.id;
   rec.bearers.emplace(id, std::move(bearer));
-  span.detail("delegated L" + std::to_string(outcome.handled_level));
   return id;
 }
 
@@ -451,17 +425,7 @@ Result<void> MobilityApp::deactivate_bearer(UeId ue, BearerId bearer_id) {
   if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
   auto bit = it->second.bearers.find(bearer_id);
   if (bit == it->second.bearers.end()) return {ErrorCode::kNotFound, "no such bearer"};
-  BearerRecord& bearer = bit->second;
-  if (bearer.active) {
-    if (bearer.handled_locally) {
-      (void)controller_->deactivate_path(bearer.local_path);
-    } else if (bearer.ancestor_key != 0) {
-      AppMessage up;
-      up.type = kBearerDeactivateMsg;
-      up.body = BearerDeactivate{ue, bearer.ancestor_key};
-      controller_->reca().delegate(std::move(up), nullptr);
-    }
-  }
+  release_bearer(ue, bit->second, Release::kTeardown);
   it->second.bearers.erase(bit);
   return Ok();
 }
@@ -472,33 +436,7 @@ Result<BearerOutcome> MobilityApp::serve_bearer(const BearerDelegation& delegati
 
   SpanGuard span("bearer.serve", controller_->level(), controller_->name());
   span.detail("failed");
-
-  nos::RoutingRequest routing;
-  routing.source = *source;
-  routing.dst_prefix = delegation.request.dst_prefix;
-  routing.constraints = delegation.request.qos;
-  routing.policy = delegation.request.policy;
-  routing.objective = delegation.request.objective;
-  auto route = controller_->compute_route(routing);
-  if (!route.ok()) return route.error();
-
-  dataplane::Match classifier;
-  classifier.ue = delegation.request.ue;
-  classifier.dst_prefix = delegation.request.dst_prefix;
-  nos::PathSetupOptions options;
-  options.reserve_kbps = delegation.request.qos.min_bandwidth_kbps;
-  // Delegated sliced bearer: the ancestor tags with the *originating* slice
-  // (carried in the delegation), aggregating same-tag bearers onto shared
-  // G-switch rules — children then translate one aggregate, not N paths.
-  if (controller_->tag_allocator() != nullptr && delegation.request.slice.valid() &&
-      !route->hops.empty()) {
-    Endpoint egress{route->hops.back().sw, route->hops.back().out};
-    options.shared_tag = Label{
-        controller_->tag_allocator()->tag_for(delegation.request.slice,
-                                              delegation.request.policy_clause, *source, egress),
-        static_cast<std::uint8_t>(controller_->level())};
-  }
-  auto path = controller_->path_setup(*route, classifier, options);
+  auto path = install_bearer_path(*source, delegation.request);
   if (!path.ok()) return path.error();
 
   std::uint64_t key = (controller_->id().value << 32) | next_ancestor_key_++;
@@ -510,7 +448,7 @@ Result<BearerOutcome> MobilityApp::serve_bearer(const BearerDelegation& delegati
 bool MobilityApp::deactivate_ancestor_key(std::uint64_t key) {
   auto it = ancestor_paths_.find(key);
   if (it == ancestor_paths_.end()) return false;
-  (void)controller_->deactivate_path(it->second);
+  (void)controller_->teardown_path(it->second);
   ancestor_paths_.erase(it);
   return true;
 }
@@ -549,29 +487,15 @@ Result<void> MobilityApp::handover(UeId ue, BsId target_bs) {
     std::vector<BearerRequest> to_restore;
     for (auto& [bid, bearer] : rec.bearers) {
       if (!bearer.active) continue;
-      if (bearer.handled_locally) {
-        (void)controller_->deactivate_path(bearer.local_path);
-      } else if (bearer.ancestor_key != 0) {
-        // The ancestor's classification rule points at the old access
-        // switch: tear down and re-delegate from the new group.
-        AppMessage up;
-        up.type = kBearerDeactivateMsg;
-        up.body = BearerDeactivate{ue, bearer.ancestor_key};
-        controller_->reca().delegate(std::move(up), nullptr);
-      }
-      bearer.active = false;
+      // An ancestor's classification rule points at the old access switch
+      // too: tear it down and re-delegate from the new group.
+      release_bearer(ue, bearer, Release::kTeardown);
       bearer.request.bs = target_bs;
       to_restore.push_back(bearer.request);
     }
     rec.bearers.erase_if([](const auto& kv) { return !kv.second.active; });
-    for (const BearerRequest& request : to_restore) {
-      auto replaced = request_bearer(request);
-      if (!replaced.ok()) {
-        SOFTMOW_LOG(LogLevel::kDebug, "mobility")
-            << controller_->name() << " bearer re-setup after intra handover failed: "
-            << replaced.error().message;
-      }
-    }
+    for (const BearerRequest& request : to_restore)
+      resetup_bearer(request, LogLevel::kDebug, "intra handover");
     span.detail("intra-region");
     return Ok();
   }
@@ -682,13 +606,7 @@ Result<HandoverOutcome> MobilityApp::serve_handover(const HandoverDelegation& de
                         });
 
   // (4) Tear down old paths (ours by key; others forwarded up).
-  for (std::uint64_t key : delegation.old_ancestor_keys) {
-    if (deactivate_ancestor_key(key)) continue;
-    AppMessage up;
-    up.type = kBearerDeactivateMsg;
-    up.body = BearerDeactivate{delegation.ue, key};
-    controller_->reca().delegate(std::move(up), nullptr);
-  }
+  for (std::uint64_t key : delegation.old_ancestor_keys) release_ancestor_key(delegation.ue, key);
 
   // (5) Release at the source (§5.2 "asks G-BS1 to release the resources").
   AppMessage release_msg;
@@ -699,7 +617,7 @@ Result<HandoverOutcome> MobilityApp::serve_handover(const HandoverDelegation& de
   // (6) The in-flight transfer path is short-lived: removed once the
   //     handover completes (§5.2 "removes old paths ... between G-BS1 and
   //     G-BS2").
-  if (transfer_path) (void)controller_->deactivate_path(*transfer_path);
+  if (transfer_path) (void)controller_->teardown_path(*transfer_path);
 
   if (!allocated)
     return Error{ErrorCode::kUnavailable, "target G-BS failed to allocate resources"};
@@ -759,9 +677,7 @@ std::vector<UeRecord> MobilityApp::extract_group_state(BsGroupId group) {
       // Ancestor-implemented paths survive the leaf change untouched.
       for (auto& [bid, bearer] : it->second.bearers) {
         if (!bearer.active || !bearer.handled_locally) continue;
-        (void)controller_->deactivate_path(bearer.local_path);
-        bearer.local_path = PathId{};
-        bearer.active = false;
+        release_bearer(it->second.ue, bearer, Release::kMoveAway);
         bearer.pending_rehome = true;
       }
       out.push_back(std::move(it->second));
@@ -786,14 +702,8 @@ void MobilityApp::rehome_transferred_bearers(BsGroupId group) {
     }
     rec.bearers.erase_if([](const auto& kv) { return kv.second.pending_rehome; });
   }
-  for (const BearerRequest& request : to_restore) {
-    auto restored = request_bearer(request);
-    if (!restored.ok()) {
-      SOFTMOW_LOG(LogLevel::kWarn, "mobility")
-          << controller_->name() << " bearer re-setup after reconfiguration failed: "
-          << restored.error().message;
-    }
-  }
+  for (const BearerRequest& request : to_restore)
+    resetup_bearer(request, LogLevel::kWarn, "reconfiguration");
 }
 
 }  // namespace softmow::apps

@@ -13,6 +13,7 @@
 //     graph consumed by region optimization (§5.3.1).
 #pragma once
 
+#include <any>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "core/flat_map.h"
 #include "core/ids.h"
+#include "core/log.h"
 #include "core/result.h"
 #include "core/weighted_adjacency.h"
 #include "dataplane/network.h"
@@ -218,14 +220,44 @@ class MobilityApp {
   void rehome_transferred_bearers(BsGroupId group);
 
  private:
+  /// How release_bearer() lets go of a bearer's path.
+  enum class Release {
+    kIdle,      ///< §5.1 idle: rules removed, the local path kept for ue_active
+    kTeardown,  ///< the bearer is gone: local and ancestor paths torn down
+    /// The UE leaves this leaf (handover release, region transfer): its
+    /// local paths are torn down; ancestor paths are left to the ancestor.
+    kMoveAway,
+  };
+
   void register_handlers();
-  Result<BearerId> setup_local_bearer(UeRecord& rec, const BearerRequest& request);
+  /// Takes down the path of an active bearer and marks it inactive. Every
+  /// step of the §5.1/§5.2 lifecycle that drops a bearer's path goes here.
+  void release_bearer(UeId ue, BearerRecord& bearer, Release how);
+  /// Tears down the ancestor path behind `key`: here when this controller
+  /// holds it, otherwise by asking the parent through RecA.
+  void release_ancestor_key(UeId ue, std::uint64_t key);
+  /// Sets `request` up again as a new bearer, logging a failure at `level`.
+  /// Runs after the caller's loop over the UE's bearers, never inside it:
+  /// request_bearer() inserts into that map (DESIGN §12).
+  void resetup_bearer(const BearerRequest& request, LogLevel level, const char* after);
+  /// Routes `request` from `source` in this region and installs its path
+  /// (§5.1 at a leaf, or for a delegated bearer at an ancestor).
+  Result<PathId> install_bearer_path(Endpoint source, const BearerRequest& request);
   /// Ancestor-side: serve a delegated bearer request in this region.
   Result<BearerOutcome> serve_bearer(const BearerDelegation& delegation);
   /// Ancestor-side: serve a delegated handover (§5.2 example procedure).
   Result<HandoverOutcome> serve_handover(const HandoverDelegation& delegation);
   /// Tears down an ancestor path by key; returns false if the key is not ours.
   bool deactivate_ancestor_key(std::uint64_t key);
+  /// Answers `request` with `body`, toward the child or the parent.
+  void answer_child(SwitchId child, const southbound::AppMessage& request, std::any body);
+  void answer_parent(const southbound::AppMessage& request, std::any body);
+  /// Delegates `request` (carrying `body`) to the parent and relays the
+  /// answer down to `child`.
+  void relay_up(SwitchId child, const southbound::AppMessage& request, std::any body);
+  /// Forwards `request` toward the child owning `gbs` and relays the answer
+  /// up to the parent.
+  void relay_toward_gbs(GBsId gbs, const southbound::AppMessage& request);
   [[nodiscard]] std::optional<Endpoint> gbs_attach(GBsId gbs) const;
   [[nodiscard]] GBsId gbs_of_group(BsGroupId group) const;
   /// Sends an app request to the child whose NIB G-BS matches, recursively

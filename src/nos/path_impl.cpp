@@ -42,6 +42,64 @@ Label PathImplementer::allocate_label() {
   return Label{value, level_};
 }
 
+template <class BuildRule>
+Result<void> PathImplementer::install(const ComputedRoute& route, std::size_t first,
+                                      std::size_t last, double reserve_kbps, RuleRefs& rules,
+                                      BuildRule build) {
+  // FlowMods for consecutive hops on the same switch share one southbound
+  // batch, so an install costs one delivery per switch instead of one per
+  // rule (and one shard handoff under the sharded engine).
+  std::vector<southbound::Message> batch;
+  RuleRefs batch_rules;
+  SwitchId batch_sw{};
+  auto flush = [&]() -> Result<void> {
+    if (batch.empty()) return Ok();
+    auto sent = bus_->send_batch(batch_sw, batch);
+    if (sent.ok()) rules.insert(rules.end(), batch_rules.begin(), batch_rules.end());
+    batch.clear();
+    batch_rules.clear();
+    if (!sent.ok()) remove_rules(rules);
+    return sent;
+  };
+  for (std::size_t i = first; i < last; ++i) {
+    const SwitchId sw = route.hops[i].sw;
+    dataplane::FlowRule rule = build(i);
+    flowmods_metric_->inc();
+    if (!batch.empty() && batch_sw != sw) {
+      if (auto sent = flush(); !sent.ok()) return sent;
+    }
+    batch_sw = sw;
+    batch_rules.emplace_back(sw, rule.cookie);
+    southbound::FlowMod mod;
+    mod.op = southbound::FlowMod::Op::kAdd;
+    mod.sw = sw;
+    mod.rule = std::move(rule);
+    mod.reserve_kbps = reserve_kbps;
+    batch.push_back(std::move(mod));
+  }
+  return flush();
+}
+
+void PathImplementer::remove_rules(RuleRefs& rules) {
+  // One batch per switch: rules are in install order, so same-switch runs
+  // are adjacent.
+  std::size_t i = 0;
+  while (i < rules.size()) {
+    SwitchId sw = rules[i].first;
+    std::vector<southbound::Message> batch;
+    while (i < rules.size() && rules[i].first == sw) {
+      southbound::FlowMod rm;
+      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
+      rm.sw = sw;
+      rm.cookie = rules[i].second;
+      batch.push_back(std::move(rm));
+      ++i;
+    }
+    (void)bus_->send_batch(sw, batch);
+  }
+  rules.clear();
+}
+
 Result<PathId> PathImplementer::setup(const ComputedRoute& route,
                                       dataplane::Match classifier,
                                       PathSetupOptions options) {
@@ -55,38 +113,59 @@ Result<PathId> PathImplementer::setup(const ComputedRoute& route,
   p.route = route;
   p.options = options;
 
-  bool tagged = options.shared_tag.has_value() && route.hops.size() > 1;
-  if (tagged) {
+  if (options.shared_tag.has_value() && route.hops.size() > 1) {
     p.label = *options.shared_tag;
-    auto agg = ensure_aggregate(p.label, p.route, p.options);
-    if (!agg.ok()) return agg.error();
-    // Attach to the aggregate's route: it is the route actually programmed
-    // (an existing aggregate may predate — and outlive — the offered one).
-    p.route = aggregates_.at(p.label.value).route;
   } else {
     // Single-switch tagged routes degenerate to plain paths: there is no
     // transit state to share and the local classifier says it all.
     p.options.shared_tag.reset();
     p.label = allocate_label();
   }
-
-  // Resources first: failing admission must not leave half a path behind.
-  auto acquired = acquire_resources(p);
-  if (!acquired.ok()) {
-    if (tagged) gc_aggregate(p.label.value);
-    return acquired.error();
-  }
-  auto installed = tagged ? install_classifier(p) : install_rules(p);
-  if (!installed.ok()) {
-    release_resources(p);
-    if (tagged) gc_aggregate(p.label.value);
-    return installed.error();
-  }
-  if (tagged) ++aggregates_.at(p.label.value).refs;
+  auto implemented = implement(p);
+  if (!implemented.ok()) return implemented.error();
   PathId id = p.id;
   paths_.emplace(id, std::move(p));
   setups_metric_->inc();
   return id;
+}
+
+Result<void> PathImplementer::implement(InstalledPath& p) {
+  const bool tagged = p.options.shared_tag.has_value();
+  if (tagged) {
+    auto agg = ensure_aggregate(p.label, p.route, p.options);
+    if (!agg.ok()) return agg;
+    // Attach to the aggregate's route: it is the route actually programmed
+    // (an existing aggregate may predate — and outlive — the offered one).
+    p.route = aggregates_.at(p.label.value).route;
+  }
+  // Resources first: failing admission must not leave half a path behind.
+  auto acquired = acquire_resources(p);
+  if (!acquired.ok()) {
+    if (tagged) gc_aggregate(p.label.value);
+    return acquired;
+  }
+  auto build = [&](std::size_t i) {
+    dataplane::FlowRule rule = build_hop_rule(p, i, allocate_cookie());
+    for (const dataplane::Action& a : rule.actions) {
+      // A swap leaves a new label on the wire just like a push (§4.3).
+      if (a.type == dataplane::ActionType::kPushLabel ||
+          a.type == dataplane::ActionType::kSwapLabel)
+        label_push_metric_->inc();
+    }
+    return rule;
+  };
+  // A tagged path owns only its first-hop classifier; the aggregate carries
+  // the rest.
+  auto installed = install(p.route, 0, tagged ? 1 : p.route.hops.size(), p.options.reserve_kbps,
+                           p.rules, build);
+  if (!installed.ok()) {
+    release_resources(p);
+    if (tagged) gc_aggregate(p.label.value);
+    return installed;
+  }
+  p.active = true;
+  if (tagged) ++aggregates_.at(p.label.value).refs;
+  return Ok();
 }
 
 Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& route,
@@ -110,7 +189,7 @@ Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& r
   // place. Other attached paths refresh their stored route on their own
   // repair pass.
   if (agg.rules.empty() || (nib_ != nullptr && !route_intact(*nib_, agg.route))) {
-    remove_aggregate_rules(agg);
+    remove_rules(agg.rules);
     agg.route = route;
     agg.options = options;
     return install_aggregate_rules(agg);
@@ -119,88 +198,15 @@ Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& r
 }
 
 Result<void> PathImplementer::install_aggregate_rules(TagAggregate& agg) {
-  const std::vector<RouteHop>& hops = agg.route.hops;
-  std::vector<southbound::Message> batch;
-  std::vector<std::pair<SwitchId, std::uint64_t>> batch_rules;
-  SwitchId batch_sw{};
-  auto flush = [&]() -> Result<void> {
-    if (batch.empty()) return Ok();
-    auto sent = bus_->send_batch(batch_sw, batch);
-    if (sent.ok())
-      for (auto& r : batch_rules) agg.rules.push_back(r);
-    batch.clear();
-    batch_rules.clear();
-    return sent;
-  };
-  for (std::size_t i = 1; i < hops.size(); ++i) {
-    dataplane::FlowRule rule =
-        build_rule({}, agg.tag, agg.route, agg.options, i, shared_tag_cookie(agg.tag.value, i));
-    flowmods_metric_->inc();
-    southbound::FlowMod mod;
-    mod.op = southbound::FlowMod::Op::kAdd;
-    mod.sw = hops[i].sw;
-    mod.rule = rule;
-    if (!batch.empty() && batch_sw != hops[i].sw) {
-      if (auto sent = flush(); !sent.ok()) {
-        remove_aggregate_rules(agg);
-        return sent;
-      }
-    }
-    batch_sw = hops[i].sw;
-    batch.push_back(std::move(mod));
-    batch_rules.emplace_back(hops[i].sw, rule.cookie);
-  }
-  if (auto sent = flush(); !sent.ok()) {
-    remove_aggregate_rules(agg);
-    return sent;
-  }
-  return Ok();
-}
-
-void PathImplementer::remove_aggregate_rules(TagAggregate& agg) {
-  std::size_t i = 0;
-  while (i < agg.rules.size()) {
-    SwitchId sw = agg.rules[i].first;
-    std::vector<southbound::Message> batch;
-    while (i < agg.rules.size() && agg.rules[i].first == sw) {
-      southbound::FlowMod rm;
-      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
-      rm.sw = sw;
-      rm.cookie = agg.rules[i].second;
-      batch.push_back(std::move(rm));
-      ++i;
-    }
-    (void)bus_->send_batch(sw, batch);
-  }
-  agg.rules.clear();
-}
-
-Result<void> PathImplementer::install_classifier(InstalledPath& p) {
-  dataplane::FlowRule rule = build_hop_rule(p, 0, allocate_cookie());
-  flowmods_metric_->inc();
-  for (const dataplane::Action& a : rule.actions) {
-    if (a.type == dataplane::ActionType::kPushLabel ||
-        a.type == dataplane::ActionType::kSwapLabel)
-      label_push_metric_->inc();
-  }
-  SwitchId sw = p.route.hops[0].sw;
-  southbound::FlowMod mod;
-  mod.op = southbound::FlowMod::Op::kAdd;
-  mod.sw = sw;
-  mod.rule = rule;
-  mod.reserve_kbps = p.options.reserve_kbps;
-  southbound::Message one[] = {std::move(mod)};
-  auto sent = bus_->send_batch(sw, one);
-  if (!sent.ok()) return sent;
-  p.rules.emplace_back(sw, rule.cookie);
-  p.active = true;
-  return Ok();
+  return install(agg.route, 1, agg.route.hops.size(), 0, agg.rules, [&](std::size_t i) {
+    return build_rule({}, agg.tag, agg.route, agg.options, i, shared_tag_cookie(agg.tag.value, i));
+  });
 }
 
 void PathImplementer::gc_aggregate(std::uint32_t tag_value) {
   auto it = aggregates_.find(tag_value);
   if (it == aggregates_.end() || it->second.refs != 0) return;
-  remove_aggregate_rules(it->second);
+  remove_rules(it->second.rules);
   aggregates_.erase(it);
   // Last path using the aggregate drained: let the allocator recycle the
   // tag's aggregate ids once nothing live references them.
@@ -320,93 +326,13 @@ dataplane::FlowRule PathImplementer::build_rule(const dataplane::Match& classifi
   return rule;
 }
 
-Result<void> PathImplementer::install_rules(InstalledPath& p) {
-  const std::vector<RouteHop>& hops = p.route.hops;
-
-  // FlowMods for consecutive hops on the same switch share one southbound
-  // batch, so a setup costs one delivery per switch instead of one per rule
-  // (and one shard handoff under the sharded engine).
-  std::vector<southbound::Message> batch;
-  std::vector<std::pair<SwitchId, std::uint64_t>> batch_rules;
-  SwitchId batch_sw{};
-  auto rollback = [&] {
-    for (auto& [sw, cookie] : p.rules) {
-      southbound::FlowMod rm;
-      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
-      rm.sw = sw;
-      rm.cookie = cookie;
-      (void)bus_->send(sw, rm);
-    }
-    p.rules.clear();
-  };
-  auto flush = [&]() -> Result<void> {
-    if (batch.empty()) return Ok();
-    auto sent = bus_->send_batch(batch_sw, batch);
-    if (sent.ok())
-      for (auto& r : batch_rules) p.rules.push_back(r);
-    batch.clear();
-    batch_rules.clear();
-    return sent;
-  };
-
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    const RouteHop& hop = hops[i];
-    dataplane::FlowRule rule = build_hop_rule(p, i, allocate_cookie());
-
-    flowmods_metric_->inc();
-    for (const dataplane::Action& a : rule.actions) {
-      // A swap leaves a new label on the wire just like a push (§4.3).
-      if (a.type == dataplane::ActionType::kPushLabel ||
-          a.type == dataplane::ActionType::kSwapLabel)
-        label_push_metric_->inc();
-    }
-
-    southbound::FlowMod mod;
-    mod.op = southbound::FlowMod::Op::kAdd;
-    mod.sw = hop.sw;
-    mod.rule = rule;
-    mod.reserve_kbps = p.options.reserve_kbps;
-    if (!batch.empty() && batch_sw != hop.sw) {
-      if (auto sent = flush(); !sent.ok()) {
-        rollback();
-        return sent;
-      }
-    }
-    batch_sw = hop.sw;
-    batch.push_back(std::move(mod));
-    batch_rules.emplace_back(hop.sw, rule.cookie);
-  }
-  if (auto sent = flush(); !sent.ok()) {
-    rollback();
-    return sent;
-  }
-  p.active = true;
-  return Ok();
-}
-
 Result<void> PathImplementer::deactivate(PathId id) {
   SHARD_CHECKED(guard_, kWrite);
   auto it = paths_.find(id);
   if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
   InstalledPath& p = it->second;
   if (!p.active) return Ok();
-  // Teardown batches per switch too (rules are in install order, so
-  // same-switch runs are adjacent).
-  std::size_t i = 0;
-  while (i < p.rules.size()) {
-    SwitchId sw = p.rules[i].first;
-    std::vector<southbound::Message> batch;
-    while (i < p.rules.size() && p.rules[i].first == sw) {
-      southbound::FlowMod rm;
-      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
-      rm.sw = sw;
-      rm.cookie = p.rules[i].second;
-      batch.push_back(std::move(rm));
-      ++i;
-    }
-    (void)bus_->send_batch(sw, batch);
-  }
-  p.rules.clear();
+  remove_rules(p.rules);
   p.active = false;
   release_resources(p);
   if (p.options.shared_tag) {
@@ -425,37 +351,25 @@ Result<void> PathImplementer::reactivate(PathId id) {
   if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
   InstalledPath& p = it->second;
   if (p.active) return Ok();
-  bool tagged = p.options.shared_tag.has_value();
-  if (tagged) {
-    if (tag_allocator_ != nullptr && !p.route.hops.empty()) {
-      // The tag's aggregate ids may have drained and been recycled to other
-      // endpoints while this path was down: re-derive the current tag for
-      // the same (slice, clause, endpoints) instead of trusting the stale
-      // value (which could now alias a different aggregate).
-      Endpoint egress{p.route.hops.back().sw, p.route.hops.back().out};
-      std::uint32_t fresh = tag_allocator_->retag(p.label.value, p.route.source, egress);
-      if (fresh != p.label.value) {
-        p.label.value = fresh;
-        p.options.shared_tag = p.label;
-      }
+  if (p.options.shared_tag && tag_allocator_ != nullptr && !p.route.hops.empty()) {
+    // The tag's aggregate ids may have drained and been recycled to other
+    // endpoints while this path was down: re-derive the current tag for the
+    // same (slice, clause, endpoints) instead of trusting the stale value
+    // (which could now alias a different aggregate).
+    Endpoint egress{p.route.hops.back().sw, p.route.hops.back().out};
+    std::uint32_t fresh = tag_allocator_->retag(p.label.value, p.route.source, egress);
+    if (fresh != p.label.value) {
+      p.label.value = fresh;
+      p.options.shared_tag = p.label;
     }
-    auto agg = ensure_aggregate(p.label, p.route, p.options);
-    if (!agg.ok()) return agg;
-    p.route = aggregates_.at(p.label.value).route;
   }
-  auto acquired = acquire_resources(p);
-  if (!acquired.ok()) {
-    if (tagged) gc_aggregate(p.label.value);
-    return acquired;
-  }
-  auto installed = tagged ? install_classifier(p) : install_rules(p);
-  if (!installed.ok()) {
-    release_resources(p);
-    if (tagged) gc_aggregate(p.label.value);
-    return installed;
-  }
-  if (tagged) ++aggregates_.at(p.label.value).refs;
-  return installed;
+  return implement(p);
+}
+
+Result<void> PathImplementer::teardown(PathId id) {
+  auto result = deactivate(id);
+  paths_.erase(id);
+  return result;
 }
 
 std::size_t PathImplementer::resync_switch(SwitchId sw) {

@@ -127,10 +127,12 @@ class PathImplementer {
   Result<PathId> setup(const ComputedRoute& route, dataplane::Match classifier,
                        PathSetupOptions options = {});
 
-  /// Removes every rule of the path and forgets it.
+  /// Removes every rule of the path; its record stays for reactivate().
   Result<void> deactivate(PathId id);
   /// Re-installs a deactivated path (bearer re-activation).
   Result<void> reactivate(PathId id);
+  /// Deactivates the path and forgets its record: nothing will reactivate it.
+  Result<void> teardown(PathId id);
 
   /// Re-pushes the rules of every *active* path crossing `sw`, rebuilt from
   /// the stored route with their original cookies — re-installing a rule
@@ -189,7 +191,19 @@ class PathImplementer {
   [[nodiscard]] static dataplane::FlowRule build_hop_rule(const InstalledPath& p,
                                                           std::size_t i,
                                                           std::uint64_t cookie);
-  Result<void> install_rules(InstalledPath& p);
+  using RuleRefs = std::vector<std::pair<SwitchId, std::uint64_t>>;
+  /// The part of setup() that reactivate() repeats: joins the path's tag
+  /// aggregate, reserves its resources and installs its rules (only the
+  /// first-hop classifier when tagged), rolling all of it back on failure.
+  Result<void> implement(InstalledPath& p);
+  /// Installs `build(i)` for hops [first, last) of `route`, one southbound
+  /// batch per run of same-switch hops, appending each delivered (switch,
+  /// cookie) to `rules`. A failed send removes `rules` and returns the error.
+  template <class BuildRule>
+  Result<void> install(const ComputedRoute& route, std::size_t first, std::size_t last,
+                       double reserve_kbps, RuleRefs& rules, BuildRule build);
+  /// Removes `rules` from their switches, one batch per switch, and clears it.
+  void remove_rules(RuleRefs& rules);
   Result<void> acquire_resources(InstalledPath& p);
   void release_resources(InstalledPath& p);
 
@@ -200,9 +214,6 @@ class PathImplementer {
   Result<void> ensure_aggregate(Label tag, const ComputedRoute& route,
                                 const PathSetupOptions& options);
   Result<void> install_aggregate_rules(TagAggregate& agg);
-  void remove_aggregate_rules(TagAggregate& agg);
-  /// Installs the per-path classifier of a tagged path (its only rule).
-  Result<void> install_classifier(InstalledPath& p);
   /// Drops the aggregate (shared rules included) once no path references it.
   void gc_aggregate(std::uint32_t tag_value);
 

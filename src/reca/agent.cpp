@@ -218,7 +218,7 @@ void RecAAgent::translate_flow_mod(const FlowMod& mod) {
   if (mod.op == FlowMod::Op::kRemoveByCookie) {
     auto it = parent_cookie_to_paths_.find(mod.cookie);
     if (it != parent_cookie_to_paths_.end()) {
-      for (PathId path : it->second) (void)s_.paths->deactivate(path);
+      for (PathId path : it->second) (void)s_.paths->teardown(path);
       parent_cookie_to_paths_.erase(it);
       ++stats_.flowmods_removed;
       maybe_announce_vfabric();  // released bandwidth may cross the threshold

@@ -38,7 +38,7 @@ Controller::Controller(ControllerId id, int level, std::string name, LabelMode l
 
 void Controller::adopt_physical_switch(southbound::Hub& hub, SwitchId sw,
                                        dataplane::ControllerRole role) {
-  auto channel = std::make_unique<Channel>(&hub.counter());
+  auto channel = std::make_unique<Channel>();
   Channel* ch = channel.get();
   owned_channels_.push_back(std::move(channel));
   ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });
@@ -47,7 +47,7 @@ void Controller::adopt_physical_switch(southbound::Hub& hub, SwitchId sw,
 }
 
 void Controller::adopt_physical_switch_standby(southbound::Hub& hub, SwitchId sw) {
-  auto channel = std::make_unique<Channel>(&hub.counter());
+  auto channel = std::make_unique<Channel>();
   Channel* ch = channel.get();
   owned_channels_.push_back(std::move(channel));
   ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });

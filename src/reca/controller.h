@@ -141,13 +141,12 @@ class Controller : public nos::DeviceBus {
     if (options.reserve_kbps > 0) reca_.maybe_announce_vfabric();
     return result;
   }
-  Result<void> deactivate_path(PathId id) {
-    const nos::InstalledPath* installed = paths_.path(id);
-    bool reserved = installed != nullptr && installed->options.reserve_kbps > 0;
-    auto result = paths_.deactivate(id);
-    if (reserved) reca_.maybe_announce_vfabric();
-    return result;
-  }
+  /// deactivatePath — §4.3: removes the path's rules, keeping its record for
+  /// paths().reactivate() (an idle bearer, §5.1).
+  Result<void> deactivate_path(PathId id) { return release_path(id, false); }
+  /// Removes the path's rules and forgets it: the bearer (or transfer) it
+  /// carried is gone for good.
+  Result<void> teardown_path(PathId id) { return release_path(id, true); }
 
   /// Runs one round of link discovery over the current NIB (§4.1.2).
   void run_link_discovery() { discovery_.run_link_discovery(); }
@@ -195,6 +194,15 @@ class Controller : public nos::DeviceBus {
 
  private:
   void handle_device_message(southbound::Channel* ch, const southbound::Message& msg);
+  /// Removes a path's rules, forgetting its record when `forget`. Releasing
+  /// a reservation may trigger a threshold-based vFabric update (§3.2).
+  Result<void> release_path(PathId id, bool forget) {
+    const nos::InstalledPath* installed = paths_.path(id);
+    bool reserved = installed != nullptr && installed->options.reserve_kbps > 0;
+    auto result = forget ? paths_.teardown(id) : paths_.deactivate(id);
+    if (reserved) reca_.maybe_announce_vfabric();
+    return result;
+  }
 
   /// One barrier-acknowledged delivery unit awaiting its BarrierReply.
   struct PendingAck {

@@ -45,11 +45,8 @@ obs::Counter* impairment_counter(const char* effect) {
 
 }  // namespace
 
-Channel::Channel() : Channel(nullptr) {}
-
-Channel::Channel(MessageCounter* counter)
-    : counter_(counter),
-      to_device_metric_(obs::default_registry().counter("southbound_messages_total",
+Channel::Channel()
+    : to_device_metric_(obs::default_registry().counter("southbound_messages_total",
                                                         {{"direction", "to_device"}})),
       to_controller_metric_(obs::default_registry().counter("southbound_messages_total",
                                                             {{"direction", "to_controller"}})),
@@ -72,11 +69,6 @@ void Channel::count_send(bool to_device, std::uint64_t messages) {
     sent_to_controller_ += messages;
     to_controller_metric_->inc(messages);
     to_controller_batches_metric_->inc();
-  }
-  if (counter_ != nullptr) {
-    (to_device ? counter_->to_device : counter_->to_controller)
-        .fetch_add(messages, std::memory_order_relaxed);
-    counter_->batches.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -17,11 +17,9 @@
 // (`southbound_messages_total` / `southbound_batches_total`, by direction).
 // Control-plane message volume — the "east-west" load the region
 // optimization of §5.3 minimizes — is reported per direction through the
-// obs metrics registry; the per-experiment MessageCounter remains as a thin
-// scoped view for callers that need a delta isolated to one Hub.
+// obs metrics registry.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -40,23 +38,6 @@ namespace softmow::southbound {
 
 /// Receives messages arriving at one side of a channel.
 using Handler = std::function<void(const Message&)>;
-
-/// Counts messages and delivery batches by direction; shared by all
-/// channels of one experiment (fields are atomics so shard threads can
-/// bump them concurrently). A plain send counts as a batch of one, so
-/// `to_device + to_controller` over `batches` is the amortization factor.
-/// Deprecated in favour of the registry series
-/// `southbound_messages_total{direction=to_device|to_controller}`, which
-/// every channel feeds unconditionally; kept as a thin per-Hub view.
-struct MessageCounter {
-  std::atomic<std::uint64_t> to_device{0};
-  std::atomic<std::uint64_t> to_controller{0};
-  std::atomic<std::uint64_t> batches{0};
-  [[nodiscard]] std::uint64_t total() const {
-    return to_device.load(std::memory_order_relaxed) +
-           to_controller.load(std::memory_order_relaxed);
-  }
-};
 
 /// Seeded southbound impairment profile (fault injection). Probabilities
 /// apply per *delivery unit* — a batch is lost, duplicated or delayed as a
@@ -88,7 +69,6 @@ class Channel {
   };
 
   Channel();
-  explicit Channel(MessageCounter* counter);
 
   /// Installs the controller-side handler (receives device -> controller).
   void bind_controller(Handler h) { to_controller_ = std::move(h); }
@@ -161,7 +141,6 @@ class Channel {
   // below has a single writer even in parallel runs.
   std::uint64_t sent_to_device_ = 0;
   std::uint64_t sent_to_controller_ = 0;
-  MessageCounter* counter_ = nullptr;
   ShardBinding binding_;
   Impairment impair_;
   Rng impair_down_{0};  ///< controller -> device impairment stream

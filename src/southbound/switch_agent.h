@@ -39,7 +39,6 @@ class Hub {
   /// every adopted switch's agent already exists.
   [[nodiscard]] SwitchAgent* find_agent(SwitchId sw) const;
   [[nodiscard]] dataplane::PhysicalNetwork* net() { return net_; }
-  [[nodiscard]] MessageCounter& counter() { return counter_; }
 
   /// Routes physical frame transit over the sharded engine: a discovery
   /// frame leaving a switch is delivered to the peer switch's owning shard
@@ -63,7 +62,6 @@ class Hub {
 
   dataplane::PhysicalNetwork* net_;
   std::unordered_map<SwitchId, std::unique_ptr<SwitchAgent>> agents_;
-  MessageCounter counter_;
   sim::ShardedSimulator* engine_ = nullptr;
   std::unordered_map<SwitchId, sim::ShardId> owners_;
 };

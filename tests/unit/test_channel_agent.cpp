@@ -50,15 +50,28 @@ TEST(Channel, DisconnectStopsDelivery) {
 }
 
 TEST(Channel, SharedCounterTalliesDirections) {
-  MessageCounter counter;
-  Channel a(&counter), b(&counter);
+  // Every channel feeds the same registry series, split by direction; a
+  // batch counts its messages once each and one delivery unit.
+  auto series = [](const char* name, const char* direction) {
+    return obs::default_registry().counter(name, {{"direction", direction}});
+  };
+  obs::Counter* down = series("southbound_messages_total", "to_device");
+  obs::Counter* up = series("southbound_messages_total", "to_controller");
+  obs::Counter* down_batches = series("southbound_batches_total", "to_device");
+  obs::Counter* up_batches = series("southbound_batches_total", "to_controller");
+  const std::uint64_t down0 = down->value(), up0 = up->value();
+  const std::uint64_t down_batches0 = down_batches->value(), up_batches0 = up_batches->value();
+
+  Channel a, b;
   a.bind_device([](const Message&) {});
   b.bind_controller([](const Message&) {});
   a.send_to_device(EchoRequest{Xid{1}});
   b.send_to_controller(EchoReply{Xid{1}});
-  EXPECT_EQ(counter.to_device, 1u);
-  EXPECT_EQ(counter.to_controller, 1u);
-  EXPECT_EQ(counter.total(), 2u);
+  a.send_to_device_batch({EchoRequest{Xid{2}}, EchoRequest{Xid{3}}});
+  EXPECT_EQ(down->value() - down0, 3u);
+  EXPECT_EQ(up->value() - up0, 1u);
+  EXPECT_EQ(down_batches->value() - down_batches0, 2u);
+  EXPECT_EQ(up_batches->value() - up_batches0, 1u);
 }
 
 class AgentFixture : public ::testing::Test {

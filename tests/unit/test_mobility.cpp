@@ -149,6 +149,66 @@ TEST_F(MobilityFixture, IdleTearsDownAncestorBearerToo) {
   EXPECT_EQ(net.total_rules(), 0u);  // the root's path was deactivated via key
 }
 
+TEST_F(MobilityFixture, ActiveReServesIdleDelegatedBearerOnce) {
+  // ue_active re-requests a delegated bearer while walking the UE's bearer
+  // map, and the re-request inserts into that same map: the walk must not
+  // touch the map's storage after the insert (DESIGN §12).
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
+  ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2})).ok());
+  ASSERT_TRUE(west().ue_idle(UeId{1}).ok());
+  ASSERT_EQ(net.total_rules(), 0u);
+
+  ASSERT_TRUE(west().ue_active(UeId{1}).ok());
+  const UeRecord* ue = west().ue(UeId{1});
+  ASSERT_NE(ue, nullptr);
+  ASSERT_EQ(ue->bearers.size(), 1u);
+  const BearerRecord& bearer = ue->bearers.begin()->second;
+  EXPECT_TRUE(bearer.active);
+  EXPECT_FALSE(bearer.handled_locally);
+  EXPECT_EQ(bearer.handled_level, 2);
+  EXPECT_TRUE(root().ancestor_path_active(bearer.ancestor_key));
+
+  Packet pkt;
+  pkt.ue = UeId{1};
+  pkt.dst_prefix = PrefixId{2};
+  EXPECT_EQ(net.inject_uplink(pkt, bs_a).outcome, dataplane::DeliveryReport::Outcome::kExternal);
+}
+
+TEST_F(MobilityFixture, TornDownBearersLeaveNoPathRecords) {
+  // Every controller a bearer's path touches forgets it at teardown: the
+  // west leaf (local path, translated root rules), the east leaf
+  // (translated root rules) and the root (delegated path).
+  auto path_records = [&] {
+    return std::vector<std::size_t>{mp->leaf(0).paths().paths().size(),
+                                    mp->leaf(1).paths().paths().size(),
+                                    mp->root().paths().paths().size()};
+  };
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
+  const std::vector<std::size_t> baseline = path_records();
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    auto local = west().request_bearer(request_for(UeId{1}, bs_a));
+    auto delegated = west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2}));
+    ASSERT_TRUE(local.ok());
+    ASSERT_TRUE(delegated.ok());
+    ASSERT_GT(net.total_rules(), 0u);
+    ASSERT_TRUE(west().deactivate_bearer(UeId{1}, *local).ok());
+    ASSERT_TRUE(west().deactivate_bearer(UeId{1}, *delegated).ok());
+  }
+  EXPECT_EQ(path_records(), baseline);
+  EXPECT_EQ(net.total_rules(), 0u);
+
+  // Idling keeps the local record, so activation restores the same rules.
+  ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a)).ok());
+  const std::size_t rules_active = net.total_rules();
+  ASSERT_TRUE(west().ue_idle(UeId{1}).ok());
+  EXPECT_EQ(net.total_rules(), 0u);
+  EXPECT_EQ(mp->leaf(0).paths().paths().size(), baseline[0] + 1);
+  ASSERT_TRUE(west().ue_active(UeId{1}).ok());
+  EXPECT_EQ(net.total_rules(), rules_active);
+  ASSERT_TRUE(west().ue_detach(UeId{1}).ok());
+  EXPECT_EQ(path_records(), baseline);
+}
+
 TEST_F(MobilityFixture, DetachCleansEverything) {
   ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
   ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a)).ok());
