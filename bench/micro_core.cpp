@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the controller —
 // flow-table lookup, port-graph Dijkstra, route computation, path setup —
-// and the RecA abstraction recompute.
+// the RecA abstraction recompute, and the §7.1 BS-group inference.
 //
 // `--bench-json <path>` (stripped before google-benchmark sees the argv)
 // additionally writes a BENCH_micro_core.json report with one
@@ -123,6 +123,19 @@ void BM_AbstractionRecompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AbstractionRecompute);
+
+void BM_InferBsGroups(benchmark::State& state) {
+  // The paper-scale handover graph: 1,000 stations, 6 nearest neighbours.
+  dataplane::PhysicalNetwork net;
+  topo::WanTopology wan = topo::generate_wan(net, topo::WanParams{});
+  topo::LteTraceParams params;
+  params.duration_minutes = 1;
+  topo::LteTrace trace = topo::generate_lte_trace(net, wan, params);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topo::infer_bs_groups(trace.bs_handover_graph));
+  }
+}
+BENCHMARK(BM_InferBsGroups)->Unit(benchmark::kMicrosecond);
 
 /// ConsoleReporter that also records one headline per primary run. Wall-time
 /// headlines gate with the coarse cross-machine tolerance; aggregate and

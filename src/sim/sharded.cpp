@@ -397,7 +397,9 @@ std::uint64_t ShardedSimulator::run() {
           ++participant;
           const std::uint64_t busy = std::min(s.window_busy_ns, window_wall);
           s.busy_ns += busy;
-          s.stall_ns += window_wall - busy;
+          // Inline shards run one after another on this thread: the rest of
+          // the window is the other shards' work, not a wait at the barrier.
+          if (parallel) s.stall_ns += window_wall - busy;
           if (critical == shards_.size() || busy > critical_busy) {
             critical = i;
             critical_busy = busy;

@@ -193,7 +193,7 @@ class ShardedSimulator {
     std::uint64_t windows_bounded = 0;  ///< windows whose W this shard's head event set
     std::uint64_t critical_windows = 0; ///< windows this shard finished last (max busy)
     std::uint64_t busy_ns = 0;
-    std::uint64_t stall_ns = 0;  ///< barrier wait: window wall minus own busy
+    std::uint64_t stall_ns = 0;  ///< barrier wait: window wall minus own busy (0 inline)
     std::uint64_t idle_ns = 0;   ///< windows this shard sat out entirely
     std::unique_ptr<obs::Tracer> tracer;
     std::mutex mail_mu;

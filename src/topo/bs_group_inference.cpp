@@ -2,80 +2,73 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <numeric>
+#include <utility>
 
 namespace softmow::topo {
 
-namespace {
-
-/// Connected components of an undirected adjacency restricted to `alive`.
-std::vector<std::vector<BsId>> components(
-    const std::map<BsId, std::set<BsId>>& adjacency, const std::set<BsId>& alive) {
-  std::vector<std::vector<BsId>> out;
-  std::set<BsId> seen;
-  for (BsId start : alive) {
-    if (seen.contains(start)) continue;
-    std::vector<BsId> component;
-    std::vector<BsId> stack{start};
-    seen.insert(start);
-    while (!stack.empty()) {
-      BsId node = stack.back();
-      stack.pop_back();
-      component.push_back(node);
-      auto it = adjacency.find(node);
-      if (it == adjacency.end()) continue;
-      for (BsId next : it->second) {
-        if (alive.contains(next) && seen.insert(next).second) stack.push_back(next);
-      }
-    }
-    std::sort(component.begin(), component.end());
-    out.push_back(std::move(component));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<InferredGroup> infer_bs_groups(const WeightedAdjacency<BsId>& graph,
                                            const InferenceParams& params) {
-  // Working copies: edge list sorted ascending by weight (removal order) and
-  // a mutable adjacency.
+  // Forward removal order: ascending weight, ties as this std::sort leaves
+  // them. The offline pass walks it backwards.
   auto edges = graph.edges();
   std::sort(edges.begin(), edges.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
-  std::map<BsId, std::set<BsId>> adjacency;
-  std::set<BsId> alive(graph.nodes().begin(), graph.nodes().end());
-  for (const auto& [key, w] : edges) {
-    adjacency[key.first].insert(key.second);
-    adjacency[key.second].insert(key.first);
-  }
-
-  std::vector<InferredGroup> groups;
-  auto freeze_small_components = [&] {
-    for (auto& component : components(adjacency, alive)) {
-      if (component.size() > params.max_group_size) continue;
-      for (BsId bs : component) {
-        alive.erase(bs);
-        for (BsId peer : adjacency[bs]) adjacency[peer].erase(bs);
-        adjacency.erase(bs);
-      }
-      groups.push_back(InferredGroup{std::move(component)});
-    }
+  // Stations as dense indices in ID order, so index order is ID order.
+  const std::vector<BsId> nodes(graph.nodes().begin(), graph.nodes().end());
+  auto index_of = [&](BsId bs) {
+    return static_cast<std::size_t>(std::lower_bound(nodes.begin(), nodes.end(), bs) -
+                                    nodes.begin());
   };
 
-  freeze_small_components();  // isolated stations / tiny islands up front
-  for (const auto& [key, w] : edges) {
-    if (alive.empty()) break;
-    auto [a, b] = key;
-    if (!alive.contains(a) || !alive.contains(b)) continue;  // already frozen
-    adjacency[a].erase(b);
-    adjacency[b].erase(a);
-    freeze_small_components();
+  // Union-find by size; `next` links each component's members into a ring.
+  std::vector<std::size_t> parent(nodes.size()), next(nodes.size());
+  std::vector<std::size_t> size(nodes.size(), 1);
+  std::iota(parent.begin(), parent.end(), 0);
+  std::iota(next.begin(), next.end(), 0);
+  auto find = [&](std::size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+
+  // (forward step, group): step 0 is the pass before any edge is removed,
+  // step t + 1 the removal of edges[t].
+  std::vector<std::pair<std::size_t, InferredGroup>> frozen;
+  auto freeze = [&](std::size_t root, std::size_t step) {
+    if (size[root] > params.max_group_size) return;
+    std::vector<std::size_t> ring{root};
+    for (std::size_t m = next[root]; m != root; m = next[m]) ring.push_back(m);
+    std::sort(ring.begin(), ring.end());
+    InferredGroup group;
+    for (std::size_t m : ring) group.members.push_back(nodes[m]);
+    frozen.emplace_back(step, std::move(group));
+  };
+
+  for (std::size_t t = edges.size(); t-- > 0;) {
+    std::size_t a = find(index_of(edges[t].first.first));
+    std::size_t b = find(index_of(edges[t].first.second));
+    if (a == b) continue;
+    if (size[a] + size[b] > params.max_group_size) {
+      freeze(a, t + 1);
+      freeze(b, t + 1);
+    }
+    if (size[a] < size[b]) std::swap(a, b);
+    parent[b] = a;
+    size[a] += size[b];
+    std::swap(next[a], next[b]);  // splice the two rings
   }
-  // Any survivors (cannot happen: a graph with no edges has singleton
-  // components) — freeze defensively.
-  freeze_small_components();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (parent[i] == i) freeze(i, 0);
+  }
+
+  std::sort(frozen.begin(), frozen.end(), [](const auto& x, const auto& y) {
+    if (x.first != y.first) return x.first < y.first;
+    return x.second.members.front() < y.second.members.front();
+  });
+  std::vector<InferredGroup> groups;
+  groups.reserve(frozen.size());
+  for (auto& [step, group] : frozen) groups.push_back(std::move(group));
   return groups;
 }
 

@@ -3,6 +3,21 @@
 // handover graph by a greedy algorithm that maximizes intra-group handover
 // weight: repeatedly remove the lowest-weight edge and freeze every
 // connected component that has shrunk to <= max_group_size stations.
+//
+// The greedy is computed offline. Removing edges in ascending weight order
+// and adding them back in the reverse order visit the same sequence of
+// components, so the edges are walked in reverse removal order and merged
+// with a union-find. A frozen group is a component of <= max_group_size
+// stations whose next merge makes one larger than that: when edge t joins
+// two components whose combined size exceeds the bound, each side within
+// the bound is the group the forward greedy freezes at step t (the step
+// that removes edge t and splits them apart). Components still within the
+// bound once every edge is back are the groups the forward greedy freezes
+// before removing any edge. The output keeps the forward order: those
+// initial groups first, then by removal step, then by smallest member, with
+// members sorted. The removal order comes from the same std::sort, so
+// weight ties break the same way. Cost: O(E log E) for the sort plus
+// near-linear union-find, instead of a full component pass per removal.
 #pragma once
 
 #include <vector>
@@ -14,6 +29,8 @@ namespace softmow::topo {
 
 struct InferredGroup {
   std::vector<BsId> members;
+
+  friend bool operator==(const InferredGroup&, const InferredGroup&) = default;
 };
 
 struct InferenceParams {

@@ -275,6 +275,33 @@ TEST(ShardedSimProfile, CountSeriesIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ShardedSimProfile, InlineShardsReportNoStall) {
+  // threads = 1 runs the shards one after another on the calling thread:
+  // none waits at a barrier, so none may be charged the others' work.
+  constexpr std::size_t kShards = 3;
+  auto wall_total = [](const char* name) {
+    double total = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const obs::Gauge* g =
+          obs::default_registry().find_gauge(name, obs::Labels{{"shard", std::to_string(s)}});
+      if (g != nullptr) total += g->value();
+    }
+    return total;
+  };
+  const double busy_before = wall_total("profile_wall_busy_ms");
+  const double stall_before = wall_total("profile_wall_stall_ms");
+  ShardedSimulator::Options opts;
+  opts.threads = 1;
+  opts.lookahead = Duration::millis(1);
+  opts.profile = true;
+  ShardedSimulator engine(kShards, opts);
+  profiled_workload(engine, kShards);
+  engine.run();
+  (void)ShardedSimulator::drain_profile_samples();
+  EXPECT_GT(wall_total("profile_wall_busy_ms"), busy_before);
+  EXPECT_EQ(wall_total("profile_wall_stall_ms"), stall_before);
+}
+
 TEST(ShardedSimProfile, OffMeansNoSamplesAndNoFlush) {
   (void)ShardedSimulator::drain_profile_samples();  // clear residue
   ShardedSimulator engine(2);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "baseline/lte_baseline.h"
@@ -88,6 +90,112 @@ TEST(BsGroupInference, IntraWeightFractionBeatsRandomAssignment) {
   }
   double random = intra_group_weight_fraction(graph, random_groups);
   EXPECT_GT(inferred, random);
+}
+
+// The §7.1 greedy as literally described: remove the lowest-weight edge,
+// recompute every component, freeze those of <= max_group_size stations.
+// O(E·(V+E)); kept only as the oracle for the offline infer_bs_groups.
+std::vector<std::vector<BsId>> reference_components(
+    const std::map<BsId, std::set<BsId>>& adjacency, const std::set<BsId>& alive) {
+  std::vector<std::vector<BsId>> out;
+  std::set<BsId> seen;
+  for (BsId start : alive) {
+    if (seen.contains(start)) continue;
+    std::vector<BsId> component;
+    std::vector<BsId> stack{start};
+    seen.insert(start);
+    while (!stack.empty()) {
+      BsId node = stack.back();
+      stack.pop_back();
+      component.push_back(node);
+      auto it = adjacency.find(node);
+      if (it == adjacency.end()) continue;
+      for (BsId next : it->second) {
+        if (alive.contains(next) && seen.insert(next).second) stack.push_back(next);
+      }
+    }
+    std::sort(component.begin(), component.end());
+    out.push_back(std::move(component));
+  }
+  return out;
+}
+
+std::vector<InferredGroup> reference_infer_bs_groups(const WeightedAdjacency<BsId>& graph,
+                                                     const InferenceParams& params) {
+  auto edges = graph.edges();
+  std::sort(edges.begin(), edges.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+
+  std::map<BsId, std::set<BsId>> adjacency;
+  std::set<BsId> alive(graph.nodes().begin(), graph.nodes().end());
+  for (const auto& [key, w] : edges) {
+    adjacency[key.first].insert(key.second);
+    adjacency[key.second].insert(key.first);
+  }
+
+  std::vector<InferredGroup> groups;
+  auto freeze_small_components = [&] {
+    for (auto& component : reference_components(adjacency, alive)) {
+      if (component.size() > params.max_group_size) continue;
+      for (BsId bs : component) {
+        alive.erase(bs);
+        for (BsId peer : adjacency[bs]) adjacency[peer].erase(bs);
+        adjacency.erase(bs);
+      }
+      groups.push_back(InferredGroup{std::move(component)});
+    }
+  };
+
+  freeze_small_components();  // isolated stations / tiny islands up front
+  for (const auto& [key, w] : edges) {
+    if (alive.empty()) break;
+    auto [a, b] = key;
+    if (!alive.contains(a) || !alive.contains(b)) continue;  // already frozen
+    adjacency[a].erase(b);
+    adjacency[b].erase(a);
+    freeze_small_components();
+  }
+  freeze_small_components();
+  return groups;
+}
+
+TEST(BsGroupInference, MatchesEdgeRemovalGreedyOnRandomGraphs) {
+  Rng rng(16);
+  for (int trial = 0; trial < 1200; ++trial) {
+    WeightedAdjacency<BsId> graph;
+    // Non-contiguous IDs, some stations isolated, small integer weights so
+    // ties are common.
+    std::vector<BsId> ids;
+    std::uint64_t id = rng.uniform_u64(0, 20);
+    const std::uint64_t n = rng.uniform_u64(1, 40);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ids.push_back(BsId{id});
+      graph.add_node(ids.back());
+      id += rng.uniform_u64(1, 5);
+    }
+    const std::uint64_t edges = rng.uniform_u64(0, 3 * n);
+    for (std::uint64_t e = 0; e < edges; ++e) {
+      BsId a = ids[rng.uniform_u64(0, n - 1)];
+      BsId b = ids[rng.uniform_u64(0, n - 1)];
+      graph.add(a, b, static_cast<double>(rng.uniform_u64(1, 4)));
+    }
+    const InferenceParams params{rng.uniform_u64(1, 8)};
+    ASSERT_EQ(infer_bs_groups(graph, params), reference_infer_bs_groups(graph, params))
+        << "trial " << trial << ", max_group_size " << params.max_group_size;
+  }
+}
+
+TEST(BsGroupInference, MatchesEdgeRemovalGreedyOnPaperScaleGraph) {
+  // The §7.1 handover graph: 1,000 stations, 6 nearest neighbours each.
+  dataplane::PhysicalNetwork net;
+  WanTopology wan = generate_wan(net, WanParams{});
+  LteTraceParams tp;
+  tp.duration_minutes = 1;
+  LteTrace trace = generate_lte_trace(net, wan, tp);
+  const WeightedAdjacency<BsId>& graph = trace.bs_handover_graph;
+  ASSERT_EQ(graph.nodes().size(), 1000u);
+  EXPECT_EQ(infer_bs_groups(graph, InferenceParams{6}),
+            reference_infer_bs_groups(graph, InferenceParams{6}));
 }
 
 // ---------------------------------------------------------------- WAN
